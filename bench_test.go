@@ -229,7 +229,7 @@ func zipfWindowEvents(n int) []Event {
 // BenchmarkPipelineShards measures the live pipeline in three regimes.
 // The delayed variants grow the shard count under
 // ProcessingDelay-induced load: each kept membership costs a fixed
-// sleep, so the serial pipeline is capped at 1/delay memberships per
+// sleep, so a single shard is capped at 1/delay memberships per
 // second while N shards overlap N sleeps — throughput should scale
 // near-linearly from 1 to 4 shards. The nodelay variants run the raw
 // data path (overlapping count windows, 8 memberships per event) at

@@ -212,8 +212,8 @@ func runLive(opts liveOpts, w io.Writer) (*liveResult, error) {
 			cfg.Lifecycle.Drift = &core.DriftConfig{}
 		}
 	}
-	// One shedder instance per shard (one in total when serial), all
-	// driven in lockstep by a single detector.
+	// One shedder instance per shard, all driven in lockstep by a
+	// single detector.
 	var controllers runtime.MultiController
 	for i := 0; i < opts.shards; i++ {
 		decider, ctrl, err := newShedPair(opts.shedder, query, tr, shedModel, opts.seed+int64(i))

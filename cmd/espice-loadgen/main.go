@@ -344,6 +344,37 @@ func run(opts loadgenOpts, w io.Writer) error {
 	return nil
 }
 
+// tileGap is the event-time gap between the last event of one tile of
+// the base stream and the first event of the next. It is longer than
+// any query window, so no window spans two tiles.
+const tileGap = 60 * event.Second
+
+// tiler replays a base stream (non-empty, in timestamp order) without
+// end. Tile k is the base shifted forward by k·(span + tileGap) of event
+// time, so timestamps never rewind at a tile boundary and time windows
+// close there instead of piling up.
+type tiler struct {
+	base   []event.Event
+	period event.Time
+	next   int        // index into base of the next event
+	shift  event.Time // event-time shift of the current tile
+}
+
+func newTiler(base []event.Event) *tiler {
+	return &tiler{base: base, period: base[len(base)-1].TS - base[0].TS + tileGap}
+}
+
+// event returns the next event of the tiled stream.
+func (t *tiler) event() event.Event {
+	ev := t.base[t.next]
+	ev.TS += t.shift
+	if t.next++; t.next == len(t.base) {
+		t.next = 0
+		t.shift += t.period
+	}
+	return ev
+}
+
 // driveConn replays total events (tiling the base stream, sequence
 // numbers rewritten to stay unique across connections) at the target
 // per-connection rate, recording per-flush latencies and the producer
@@ -354,6 +385,9 @@ func run(opts loadgenOpts, w io.Writer) error {
 func driveConn(addr string, base []event.Event, ci, total int, rate float64, batch int, session uint64, token string, wantStats bool) (transport.ClientStats, *metrics.LatencyTrace, ledgerSummary, []byte, error) {
 	trace := &metrics.LatencyTrace{}
 	var led ledgerSummary
+	if len(base) == 0 {
+		return transport.ClientStats{}, trace, led, nil, fmt.Errorf("loadgen: empty dataset")
+	}
 	c, err := transport.Dial(transport.ClientConfig{
 		Addr:        addr,
 		BatchEvents: batch,
@@ -389,24 +423,21 @@ func driveConn(addr string, base []event.Event, ci, total int, rate float64, bat
 		buf = buf[:0]
 		return nil
 	}
+	tiles := newTiler(base)
 	for sent < total {
-		for _, ev := range base {
-			if sent == total {
-				break
+		ev := tiles.event()
+		ev.Seq = seq
+		seq++
+		buf = append(buf, ev)
+		sent++
+		if len(buf) == batch {
+			if interval > 0 {
+				if d := time.Until(start.Add(time.Duration(sent) * interval)); d > 0 {
+					time.Sleep(d)
+				}
 			}
-			ev.Seq = seq
-			seq++
-			buf = append(buf, ev)
-			sent++
-			if len(buf) == batch {
-				if interval > 0 {
-					if d := time.Until(start.Add(time.Duration(sent) * interval)); d > 0 {
-						time.Sleep(d)
-					}
-				}
-				if err := flush(); err != nil {
-					return c.Stats(), trace, led, nil, err
-				}
+			if err := flush(); err != nil {
+				return c.Stats(), trace, led, nil, err
 			}
 		}
 	}

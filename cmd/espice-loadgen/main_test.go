@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/event"
 	"repro/internal/harness"
 )
 
@@ -111,5 +112,25 @@ func TestLoadgenDurableLedger(t *testing.T) {
 	want := fmt.Sprintf("ledger: count %d sum %d xor %d", wantCount, wantSum, wantXor)
 	if !strings.Contains(out.String(), want) {
 		t.Errorf("missing %q in output:\n%s", want, out.String())
+	}
+}
+
+// TestTilerNeverRewinds pins the tiled replay: across tile boundaries
+// event time keeps moving forward, and each tile starts tileGap after
+// the previous one ended, so windows close at the boundary instead of
+// piling up over a rewound clock.
+func TestTilerNeverRewinds(t *testing.T) {
+	base := []event.Event{{TS: 5 * event.Second}, {TS: 6 * event.Second}, {TS: 9 * event.Second}}
+	tiles := newTiler(base)
+	prev := tiles.event()
+	for i := 1; i < 4*len(base); i++ {
+		ev := tiles.event()
+		if ev.TS < prev.TS {
+			t.Fatalf("event %d: timestamp rewound from %d to %d", i, prev.TS, ev.TS)
+		}
+		if i%len(base) == 0 && ev.TS-prev.TS != tileGap {
+			t.Errorf("event %d: tile starts %d after the previous tile, want %d", i, ev.TS-prev.TS, tileGap)
+		}
+		prev = ev
 	}
 }

@@ -551,14 +551,10 @@ func (app *serveApp) run(ctx context.Context, ln net.Listener, w io.Writer) erro
 
 // mode names the deployment for the startup line.
 func (app *serveApp) mode() string {
-	switch {
-	case app.eng != nil:
+	if app.eng != nil {
 		return fmt.Sprintf("engine, %d queries", len(app.handles))
-	case app.opts.shards > 1:
-		return fmt.Sprintf("sharded pipeline, %d shards", app.opts.shards)
-	default:
-		return "serial pipeline"
 	}
+	return fmt.Sprintf("pipeline, shards=%d", app.opts.shards)
 }
 
 // serveStats is the statistics document served to FrameStatsReq clients
@@ -577,9 +573,10 @@ type serveStats struct {
 	// Steals and Occupancy expose the skew-aware scale-out state:
 	// windows adopted via work stealing (summed over shards, and over
 	// queries in engine mode) and the partitioner's live placement
-	// estimate. ShardBacklog is the per-shard staged-membership backlog
-	// of the sharded pipeline (absent in engine and serial modes) —
-	// together they show whether a skewed stream is balanced or pinned.
+	// estimate. ShardBacklog is the pipeline's per-shard
+	// staged-membership backlog, one entry per shard (absent in engine
+	// mode) — together they show whether a skewed stream is balanced or
+	// pinned.
 	Steals       uint64                 `json:"steals"`
 	Occupancy    int64                  `json:"occupancy"`
 	ShardBacklog []int                  `json:"shard_backlog,omitempty"`

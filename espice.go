@@ -379,10 +379,11 @@ func QuickScale() ExperimentScale { return harness.QuickScale() }
 
 // Live runtime.
 type (
-	// Pipeline is a live goroutine-based CEP deployment. Set
-	// PipelineConfig.Shards > 1 for the sharded multi-operator pipeline:
-	// windows are distributed round-robin over parallel operator
-	// instances and complex events are merged back in window-close order.
+	// Pipeline is a live goroutine-based CEP deployment. Every shard
+	// count runs the same path; PipelineConfig.Shards > 1 spreads the
+	// windows over parallel operator shards (least-loaded placement,
+	// work stealing) and merges complex events back in window-close
+	// order.
 	Pipeline = runtime.Pipeline
 	// PipelineConfig assembles a pipeline.
 	PipelineConfig = runtime.Config

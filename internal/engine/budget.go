@@ -187,9 +187,9 @@ func (e *Engine) evaluateBudget(qs []*Query) {
 		ws    int
 	}
 	// totalQueue accumulates backlogs in events: the ingress queue plus
-	// each query's Stats().QueueLen, which sharded pipelines report already
+	// each query's Stats().QueueLen, which pipelines report already
 	// normalized from staged memberships to events by the windowing
-	// overlap factor — so serial and sharded queries weigh equally here.
+	// overlap factor — so queries of any shard count weigh equally here.
 	var (
 		ms         []measured
 		totalQueue = len(e.in)

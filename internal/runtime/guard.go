@@ -1,9 +1,8 @@
-// Panic containment. The pipeline's processing paths — the serial
-// processing goroutine, the shard workers, and (when sharded) the
-// partitioner running inline in the submitter — all execute user code:
-// shedder deciders, window-close hooks, pattern matchers. A panic in
-// any of them must not take the process down, and must not wedge the
-// producers feeding the pipeline.
+// Panic containment. The pipeline's processing paths — the shard
+// workers and the partitioner running inline in the submitter — both
+// execute user code: shedder deciders, window-close hooks, pattern
+// matchers, window predicates. A panic in any of them must not take the
+// process down, and must not wedge the producers feeding the pipeline.
 //
 // The containment contract is drain-don't-die: the first panic trips
 // the pipeline's failed flag and is captured as a *PanicError; every
@@ -21,7 +20,6 @@
 package runtime
 
 import (
-	"context"
 	"fmt"
 	runtimedebug "runtime/debug"
 	"time"
@@ -59,15 +57,15 @@ func (p *Pipeline) PanicError() *PanicError {
 // (from the calling goroutine); later calls return the first capture.
 // The pipeline itself calls it from its recovery guards; embedding
 // layers call it to attribute a panic the pipeline's submit path threw
-// into their goroutine (the sharded partitioner runs windowing inline
-// in SubmitBatch).
+// into their goroutine (the partitioner runs windowing inline in
+// SubmitBatch).
 func (p *Pipeline) Trip(v any) *PanicError {
 	pe := &PanicError{Value: v, Stack: string(runtimedebug.Stack()), When: time.Now()}
 	if !p.panicErr.CompareAndSwap(nil, pe) {
 		return p.panicErr.Load()
 	}
 	p.failed.Store(true)
-	// A dying sharded pipeline may strand a steal handoff (the panic
+	// A dying pipeline may strand a steal handoff (the panic
 	// unwound past an evict, or a drained batch dropped one); release
 	// any shard blocked on its ring so teardown cannot deadlock.
 	p.abortSteals()
@@ -77,54 +75,12 @@ func (p *Pipeline) Trip(v any) *PanicError {
 	return pe
 }
 
-// recoverProc is the serial processing guard: deferred by processOne
-// and flushGuarded, it converts a panic into the pipeline's PanicError.
-func (p *Pipeline) recoverProc(errp *error) {
-	if r := recover(); r != nil {
-		*errp = p.Trip(r)
-	}
-}
-
-// drainIn consumes the serial input queue without processing after a
-// panic tripped the pipeline, releasing backpressure slots so blocked
-// producers always complete; it returns when the input is sealed or
-// the context ends.
-func (p *Pipeline) drainIn(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case msg, ok := <-p.in:
-			if !ok {
-				return
-			}
-			if msg.batch == nil {
-				p.releaseSlot()
-			} else {
-				for range msg.batch {
-					p.releaseSlot()
-				}
-			}
-		}
-	}
-}
-
-// flushGuarded runs the end-of-input flush under the processing guard:
-// a panic in a window-close hook during the final flush is contained
-// like any other.
-func (p *Pipeline) flushGuarded(ctx context.Context) (err error) {
-	defer p.recoverProc(&err)
-	p.flush(ctx)
-	return nil
-}
-
 // recoverBatch is the shard worker guard: deferred by processBatch, it
-// trips the pipeline and completes the batch's backlog accounting (the
-// panic unwound past the normal decrement — b.members is still set, the
-// normal path zeroes it before returning).
+// trips the pipeline and completes the batch's backlog accounting (a
+// no-op when the panic struck after the normal release).
 func (s *shard) recoverBatch(b *shardBatch) {
 	if r := recover(); r != nil {
 		s.pipe.Trip(r)
-		s.queued.Add(-int64(b.members))
+		s.release(b)
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestPanicContainmentSerial panics inside the OnWindowClose hook of a
-// serial pipeline: Run must return the captured *PanicError (not crash),
+// single-shard pipeline: Run must return the captured *PanicError (not crash),
 // the output channel must close, and producers submitting after the
 // panic must not block.
 func TestPanicContainmentSerial(t *testing.T) {

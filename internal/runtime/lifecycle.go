@@ -158,7 +158,7 @@ func newLifecycle(cfg LifecycleConfig, shedders []*core.Shedder, spec window.Spe
 }
 
 // newTap creates and registers one feedback tap; the pipeline gives one
-// to each window-closing goroutine (the serial loop, or each shard).
+// to each window-closing goroutine, one per shard.
 // All taps must be created before Run starts the supervisor.
 func (l *Lifecycle) newTap() (*operator.FeedbackTap, error) {
 	mb, err := core.NewModelBuilder(l.bcfg)

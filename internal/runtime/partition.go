@@ -10,14 +10,14 @@ import (
 )
 
 // Shard op kinds. The low bits select the operation; opSampleFlag marks
-// the one membership op per sampled event whose processing time feeds
-// the latency trace (see Config.LatencySampleEvery).
+// the one event op per sampled event whose processing time feeds the
+// latency trace (see Config.LatencySampleEvery).
 const (
-	opMember = 0 // add-or-shed one membership: slot, pos, evIdx
-	opOpen   = 1 // open a window in slot: a = window ID, b = expected size, evIdx = opening event
-	opClose  = 2 // close the window in slot: a = merge epoch, b = close timestamp
-	opEvict  = 3 // hand the window in slot to shard a's steal ring (work stealing)
-	opAdopt  = 4 // receive a stolen window from the steal ring into slot
+	opEvent = 0 // add-or-shed event evIdx in every open window of the shard
+	opOpen  = 1 // open a window in slot: a = window ID, b = expected size, evIdx = opening event
+	opClose = 2 // close the window in slot: a = merge epoch, b = close timestamp
+	opEvict = 3 // hand the window in slot to shard a's steal ring (work stealing)
+	opAdopt = 4 // receive a stolen window from the steal ring into slot
 
 	opKindMask   = 0x7f
 	opSampleFlag = 1 << 7
@@ -46,15 +46,18 @@ const (
 
 // shardOp is one decoded instruction for a shard. The partitioner runs
 // the windowing policy centrally (so window identities, positions and
-// size predictions stay exactly the serial pipeline's) and compiles its
+// size predictions are exactly a window.Manager's) and compiles its
 // outcome into these fixed-size ops; the owning shard replays them in
-// order against its local window slots. 32 bytes, no pointers — a staged
-// op stream costs the shard no GC scanning.
+// order against its local window slots. The op stream is
+// event-granular: window.Manager.Route puts every event into every open
+// window at position w.Arrivals, so one opEvent per (event, owning
+// shard) stands for all of the event's memberships on that shard, and
+// the shard joins it to each window it owns. 32 bytes, no pointers — a
+// staged op stream costs the shard no GC scanning.
 type shardOp struct {
 	kind  uint8
 	slot  int32 // shard-local window slot (dense, recycled at close)
-	pos   int32 // membership position (opMember)
-	evIdx int32 // index into the batch's events array (opMember, opOpen)
+	evIdx int32 // index into the batch's events array (opEvent, opOpen)
 	a     uint64
 	b     uint64
 }
@@ -67,7 +70,7 @@ type shardBatch struct {
 	ops     []shardOp
 	events  []event.Event
 	arrived time.Time // submit time shared by every op in the batch
-	members int       // membership ops staged (backlog accounting)
+	members int       // memberships the batch's event ops stand for (backlog accounting)
 }
 
 // opsFlushBatch caps how many ops a batch accumulates before the
@@ -76,15 +79,14 @@ type shardBatch struct {
 // a paced producer never leaves work parked in the staging area.
 const opsFlushBatch = 512
 
-// partitioner is the submitter-side front end of the sharded pipeline.
-// It replaces the dedicated router goroutine: SubmitBatch itself runs
-// the windowing policy (under pt.mu) and streams compiled ops to the
-// owning shards, so the former router-channel rendezvous and the
-// central-manager serialization disappear from the scale path.
+// partitioner is the submitter-side front end of the pipeline:
+// SubmitBatch itself runs the windowing policy (under pt.mu) and
+// streams compiled ops to the owning shards, so there is no router
+// goroutine and no channel rendezvous per event.
 //
 // tracker is a plain window.Manager used only for bookkeeping: it
-// decides opens, positions, closes and size predictions exactly as the
-// serial operator's manager does, but its windows carry no payload —
+// decides opens, positions, closes and size predictions exactly as an
+// operator.Operator's manager does, but its windows carry no payload —
 // events are never Added to them. The payload windows live in the
 // shards, one slot array per shard, and a window's whole life (open,
 // add, shed, close, match, recycle) happens on its owning shard's
@@ -102,8 +104,10 @@ type partitioner struct {
 	nextSlot  []int32   // next never-used slot
 	evMark    []uint64  // stamp of the event currently staged per shard
 	evIdx     []int32   // its index in that shard's staged events
+	open      []int     // open tracker windows owned per shard
 
-	evStamp uint64     // bumped once per routed event (dedup stamps)
+	evStamp uint64     // bumped once per routed event: dedup stamp and event count
+	members uint64     // memberships routed
 	epoch   uint64     // next window-close epoch (merge order)
 	arrived time.Time  // arrival time of the submit call being staged
 	lastTS  event.Time // latest routed event timestamp (flush close time)
@@ -132,6 +136,7 @@ func newPartitioner(p *Pipeline, spec window.Spec) (*partitioner, error) {
 		nextSlot:       make([]int32, n),
 		evMark:         make([]uint64, n),
 		evIdx:          make([]int32, n),
+		open:           make([]int, n),
 		stealThreshold: p.cfg.StealThreshold,
 		done:           make(chan struct{}),
 	}, nil
@@ -166,10 +171,12 @@ func (pt *partitioner) batchFor(si int) *shardBatch {
 	return b
 }
 
-// flushShard sends shard si's staged batch. Sends happen only under
-// pt.mu and channels are closed only under pt.mu, so a send can never
-// race a close; after a cancel the batch is dropped instead (the shards
-// are in drain mode and the backlog is moot).
+// flushShard sends shard si's staged batch once the shard has room for
+// its events (reserve), adding its memberships to the shard's backlog
+// first (one atomic add per batch). Sends happen only under pt.mu and
+// channels are closed only under pt.mu, so a send can never race a
+// close; after a cancel the batch is dropped instead (the shards are in
+// drain mode and the backlog is moot).
 func (pt *partitioner) flushShard(si int) {
 	b := pt.staged[si]
 	if b == nil {
@@ -178,10 +185,22 @@ func (pt *partitioner) flushShard(si int) {
 	pt.staged[si] = nil
 	pt.evMark[si] = 0 // event indices die with the batch
 	if pt.canceled.Load() {
-		pt.p.shards[si].queued.Add(-int64(b.members))
 		return
 	}
-	pt.p.shards[si].in <- b
+	s := pt.p.shards[si]
+	s.reserve(int64(len(b.events)))
+	s.queued.Add(int64(b.members))
+	s.in <- b
+}
+
+// backlog is shard si's membership backlog as placement and stealing
+// see it: flushed but unprocessed plus staged. Caller holds pt.mu.
+func (pt *partitioner) backlog(si int) int64 {
+	q := pt.p.shards[si].queued.Load()
+	if b := pt.staged[si]; b != nil {
+		q += int64(b.members)
+	}
+	return q
 }
 
 func (pt *partitioner) flushAll() {
@@ -216,55 +235,48 @@ func (pt *partitioner) stageOp(si int, op shardOp) {
 }
 
 // routeOne runs the windowing policy for one event and streams the
-// resulting ops to the owning shards. Caller holds pt.mu.
+// resulting ops to the owning shards. Route reports the windows that
+// closed before the event joined (expired spans, Spec.Close) ahead of
+// the count windows it filled, and every closed window keeps its place
+// in that list as its merge epoch; the before-closes are staged ahead of
+// the event ops and the fills after them, so each shard applies the
+// event to exactly the windows Route put it in. Caller holds pt.mu.
 func (pt *partitioner) routeOne(ev event.Event) {
 	member, closedWins := pt.tracker.Route(ev)
 	pt.evStamp++
 	pt.lastTS = ev.TS
-	wantSample := pt.p.sampleLatency()
-	sampled := false
-	nshards := len(pt.p.shards)
-	for _, mb := range member {
-		w := mb.W
-		var si int
-		var slot int32
-		if w.Tag == 0 {
-			// First membership of a freshly opened window: place it on the
-			// least-loaded eligible shard (occupancy + backlog). Placement
-			// does not affect the output — positions and close epochs are
-			// decided here by the tracker regardless of where the payload
-			// window lives — so load-aware placement keeps shard=N output
-			// byte-identical to shard=1 while spreading skewed (hot)
-			// windows across cores instead of pinning windowID%N.
-			si = pt.placeShard(w, nshards)
-			slot = pt.takeSlot(si)
-			w.Tag = packTag(si, slot)
-			pt.p.shards[si].occupancy.Add(occWeight(w))
-			pt.stageOp(si, shardOp{
-				kind:  opOpen,
-				slot:  slot,
-				evIdx: pt.ensureEvent(si, ev),
-				a:     uint64(w.ID),
-				b:     uint64(w.ExpectedSize),
-			})
-		} else {
-			si, slot = unpackTag(w.Tag)
+	// Count windows the event filled close at Arrivals == Count; the
+	// ones closed before it joined stay below.
+	before := len(closedWins)
+	if before > 0 {
+		if spec := pt.tracker.Spec(); spec.Mode == window.ModeCount {
+			for before > 0 && closedWins[before-1].Arrivals >= spec.Count {
+				before--
+			}
 		}
-		op := shardOp{
-			kind:  opMember,
-			slot:  slot,
-			pos:   int32(mb.Pos),
-			evIdx: pt.ensureEvent(si, ev),
+	}
+	for _, w := range closedWins[:before] {
+		pt.stageClose(w, ev.TS)
+	}
+	// A window the event opened is its last membership.
+	if n := len(member); n > 0 && member[n-1].W.Tag == 0 {
+		pt.place(member[n-1].W, ev)
+	}
+	sample := pt.p.sampleLatency()
+	for si, n := range pt.open {
+		if n == 0 {
+			continue
 		}
-		if wantSample && !sampled {
+		op := shardOp{kind: opEvent, evIdx: pt.ensureEvent(si, ev)}
+		if sample {
 			op.kind |= opSampleFlag
-			sampled = true
+			sample = false
 		}
-		pt.batchFor(si).members++
-		pt.p.shards[si].queued.Add(1)
+		pt.batchFor(si).members += n
+		pt.members += uint64(n)
 		pt.stageOp(si, op)
 	}
-	if wantSample && !sampled {
+	if sample {
 		// The event belongs to no window, so no shard will time it;
 		// sample here so every 1-in-N event still contributes.
 		now := time.Now()
@@ -273,7 +285,7 @@ func (pt *partitioner) routeOne(ev event.Event) {
 			event.Time(now.Sub(pt.arrived).Microseconds()))
 		pt.p.mu.Unlock()
 	}
-	for _, w := range closedWins {
+	for _, w := range closedWins[before:] {
 		pt.stageClose(w, ev.TS)
 	}
 	if pt.stealThreshold > 0 {
@@ -283,7 +295,28 @@ func (pt *partitioner) routeOne(ev event.Event) {
 			pt.maybeSteal()
 		}
 	}
-	pt.p.processed.Add(1)
+}
+
+// place assigns a freshly opened window to the least-loaded eligible
+// shard (occupancy + backlog) and stages its open op. Placement does not
+// affect the output — positions and close epochs are decided by the
+// tracker regardless of where the payload window lives — so load-aware
+// placement keeps the output independent of the shard count while
+// spreading skewed (hot) windows across cores instead of pinning
+// windowID%N. Caller holds pt.mu.
+func (pt *partitioner) place(w *window.Window, ev event.Event) {
+	si := pt.placeShard(w, len(pt.p.shards))
+	slot := pt.takeSlot(si)
+	w.Tag = packTag(si, slot)
+	pt.open[si]++
+	pt.p.shards[si].occupancy.Add(occWeight(w))
+	pt.stageOp(si, shardOp{
+		kind:  opOpen,
+		slot:  slot,
+		evIdx: pt.ensureEvent(si, ev),
+		a:     uint64(w.ID),
+		b:     uint64(w.ExpectedSize),
+	})
 }
 
 // occWeight is a window's contribution to its owning shard's occupancy
@@ -323,12 +356,11 @@ func (pt *partitioner) placeShard(w *window.Window, nshards int) int {
 		if i >= nshards {
 			i -= nshards
 		}
-		s := pt.p.shards[i]
-		score := s.occupancy.Load()
+		score := pt.p.shards[i].occupancy.Load()
 		if score > bestScore {
 			continue
 		}
-		if q := s.queued.Load(); score < bestScore || q < bestQ {
+		if q := pt.backlog(i); score < bestScore || q < bestQ {
 			best, bestScore, bestQ = i, score, q
 		}
 	}
@@ -358,8 +390,8 @@ func (pt *partitioner) maybeSteal() {
 	shards := pt.p.shards
 	victim, thief := 0, 0
 	maxQ, minQ := int64(-1), int64(1)<<62
-	for i, s := range shards {
-		q := s.queued.Load()
+	for i := range shards {
+		q := pt.backlog(i)
 		if q > maxQ {
 			victim, maxQ = i, q
 		}
@@ -423,7 +455,7 @@ func (pt *partitioner) stealCandidate(victim int) *window.Window {
 // thief to receive it into a fresh local slot. Both shards replay their
 // op streams in FIFO order, so every membership staged before the steal
 // is applied by the victim and every one staged after it by the thief —
-// the entry order inside the window is exactly the serial pipeline's.
+// the entry order inside the window is exactly the tracker's.
 // The evict is flushed immediately: the thief blocks on the ring when
 // it reaches the adopt, and leaving the evict parked in the partitioner
 // while a submitter blocks on the thief's full input queue would
@@ -438,6 +470,8 @@ func (pt *partitioner) reassign(w *window.Window, victim, thief int) {
 	pt.freeSlots[victim] = append(pt.freeSlots[victim], vslot)
 	tslot := pt.takeSlot(thief)
 	w.Tag = packTag(thief, tslot)
+	pt.open[victim]--
+	pt.open[thief]++
 	weight := occWeight(w)
 	pt.p.shards[victim].occupancy.Add(-weight)
 	pt.p.shards[thief].occupancy.Add(weight)
@@ -446,7 +480,7 @@ func (pt *partitioner) reassign(w *window.Window, victim, thief int) {
 }
 
 // stageClose emits the close op for a tracker-closed window, assigns its
-// merge epoch (global close order — exactly the serial pipeline's
+// merge epoch (global close order — exactly an operator.Operator's
 // emission order), recycles its shard slot and hands the tracker window
 // back to the tracker's pool. The slot may be reused by a later open:
 // the shard replays its op stream in order, so the reopen cannot
@@ -460,6 +494,7 @@ func (pt *partitioner) stageClose(w *window.Window, now event.Time) {
 		b:    uint64(now),
 	})
 	pt.epoch++
+	pt.open[si]--
 	pt.p.shards[si].occupancy.Add(-occWeight(w))
 	pt.freeSlots[si] = append(pt.freeSlots[si], slot)
 	pt.tracker.Release(w)
@@ -486,6 +521,15 @@ func (pt *partitioner) submitBatch(events []event.Event) {
 		pt.routeOne(ev)
 	}
 	pt.flushAll()
+	pt.publish()
+}
+
+// publish makes the routed totals visible to Stats and the detector.
+// It runs after the flush, so every event it counts is already queued at
+// its shards or processed (see Stats.Processed). Caller holds pt.mu.
+func (pt *partitioner) publish() {
+	pt.p.routed.Store(pt.evStamp)
+	pt.p.routedMembers.Store(pt.members)
 }
 
 // submitOne is Submit's allocation-free single-event path.
@@ -499,6 +543,7 @@ func (pt *partitioner) submitOne(ev event.Event) {
 	pt.p.submitted.Add(1)
 	pt.routeOne(ev)
 	pt.flushAll()
+	pt.publish()
 }
 
 // close seals the input: remaining tracker windows are flushed closed at

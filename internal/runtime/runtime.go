@@ -1,23 +1,24 @@
 // Package runtime hosts a live, goroutine-based deployment of the eSPICE
-// architecture (Figure 1): events are submitted into a bounded input
-// queue, a processing goroutine drives the CEP operator, and a detector
+// architecture (Figure 1): submitted events are routed into windows and
+// handed to operator shards behind bounded queues, and a detector
 // goroutine periodically estimates input rate and operator throughput,
 // evaluates the overload condition and commands the load shedder.
 //
-// With Config.Shards > 1 the pipeline becomes a sharded multi-operator
-// deployment with no dedicated router goroutine: SubmitBatch itself runs
-// the windowing policy (under one partitioner mutex, so positions and
-// window identities stay deterministic) and streams compiled op batches
-// to the owning shards — windows are assigned to shards by their
-// deterministic ID as they open, and each shard owns its windows
-// outright: open, membership add, shed decision, close, matching and
-// pool recycling all happen on the shard goroutine behind its own
-// bounded queue. Closed-window results carry a monotonic epoch (the
-// global close order) and an epoch merge stage re-serializes them, so
-// shard=N output equals shard=1 output while the per-membership
-// processing cost spreads across N cores. One overload detector observes
-// the aggregate input rate and the summed per-shard throughput and
-// commands all shedders in lockstep.
+// There is one execution path for every shard count, and no router
+// goroutine: SubmitBatch itself runs the windowing policy (under one
+// partitioner mutex, so positions and window identities stay
+// deterministic) and streams compiled op batches — one event op per
+// (event, owning shard) — to the shards. Windows are assigned to shards
+// as they open, and each shard owns its windows outright: open,
+// membership add, shed decision, close, matching and pool recycling all
+// happen on the shard goroutine behind its own bounded queue. Closed-
+// window results carry a monotonic epoch (the global close order), and
+// an epoch merge stage re-serializes them, so the
+// output equals an operator.Operator replay of the stream for any shard
+// count while the per-membership processing cost spreads across the
+// shards. One overload detector observes the aggregate input rate and
+// the summed per-shard throughput and commands all shedders in
+// lockstep.
 //
 // The runtime mirrors the discrete-event simulator (internal/sim) on real
 // clocks and channels; the simulator is the reproducible instrument for
@@ -35,6 +36,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/metrics"
 	"repro/internal/operator"
+	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/window"
 )
@@ -53,16 +55,16 @@ type Config struct {
 	EstimateRates bool
 	// PollInterval is the detector period (default 10ms).
 	PollInterval time.Duration
-	// QueueCap bounds the input-queue backlog in events; Submit and
-	// SubmitBatch block when full (backpressure). Stats().QueueLen and
-	// the overload detector see the backlog in events as well; a
-	// SubmitBatch may overshoot the bound by up to one 256-event chunk.
-	// When sharded, the bound is split across the shards' op-batch
-	// queues and enforced approximately (in batch granularity), since
-	// submitters partition directly into the shard queues. Default 1 << 16.
+	// QueueCap bounds the backlog in events, however the producers batch
+	// them: each shard queues at most its even share (QueueCap/Shards,
+	// rounded up) of the events staged to it, and Submit and SubmitBatch
+	// block while the owning shard's share is full (backpressure). An
+	// empty queue admits any one batch, so a batch staged beyond the
+	// share still passes. Default 1 << 16.
 	QueueCap int
 	// ProcessingDelay adds an artificial cost per kept membership,
-	// letting examples provoke overload on small machines. Zero means
+	// letting examples provoke overload on small machines; a shard
+	// sleeps once per event for all its kept memberships. Zero means
 	// full speed.
 	ProcessingDelay time.Duration
 	// OutBuffer is the complex-event channel capacity (default 1024).
@@ -76,20 +78,21 @@ type Config struct {
 	// remain meaningful under uniform 1-in-N sampling; raising the
 	// initial stride just spends less hot-path time on clock reads.
 	LatencySampleEvery int
-	// Shards is the number of parallel operator instances (default 1).
-	// Values above 1 spread per-membership processing across goroutines;
-	// complex events are still emitted in window-close order. With
-	// Shards > 1 the Operator.OnWindowClose hook runs on the shard
-	// goroutines — one call at a time per shard, but concurrently across
-	// shards — so a shared hook must synchronize its own state. Windows
-	// are recycled shard-locally right after the hook returns.
+	// Shards is the number of operator shard goroutines (default 1).
+	// Every shard count runs the same path; values above 1 spread
+	// per-membership processing across goroutines, and complex events
+	// are emitted in window-close order either way. The
+	// Operator.OnWindowClose hook runs on the shard goroutines — one call
+	// at a time per shard, but concurrently across shards when Shards > 1
+	// — so a hook shared by several shards must synchronize its own
+	// state. Windows are recycled shard-locally right after the hook
+	// returns.
 	Shards int
 	// ShardDeciders optionally installs one shedder per shard; its length
 	// must equal Shards. When nil, every shard shares Operator.Shedder
-	// (safe for core.Shedder, whose state is swapped atomically). Ignored
-	// when Shards <= 1.
+	// (safe for core.Shedder, whose state is swapped atomically).
 	ShardDeciders []operator.Decider
-	// StealThreshold tunes window work stealing on the sharded path: when
+	// StealThreshold tunes window work stealing: when
 	// the most-backlogged shard's staged-membership backlog exceeds the
 	// least-loaded shard's by more than this many memberships, the
 	// partitioner reassigns an open (not-yet-closing) window from the
@@ -98,8 +101,8 @@ type Config struct {
 	// (see partition.go). Complex-event output is byte-identical with
 	// stealing on or off: window identities, positions and close epochs
 	// are decided by the partitioner's tracker either way. 0 selects the
-	// default (2048 memberships); negative disables stealing. Ignored
-	// when Shards <= 1.
+	// default (2048 memberships); negative disables stealing. A single
+	// shard has no one to steal from.
 	StealThreshold int
 	// OnPanic, when non-nil, is called once — from the goroutine that
 	// panicked, right as the pipeline's failed flag trips — when a
@@ -118,42 +121,26 @@ type Config struct {
 	Lifecycle *LifecycleConfig
 }
 
-type queued struct {
-	ev      event.Event
-	arrived time.Time
-}
-
-// inMsg is one input-queue message: a single event (batch == nil) or a
-// chunk of events submitted together. Chunking amortizes the channel
-// send/receive rendezvous — the dominant per-event cost of the pump once
-// the data path itself is allocation-free — over up to submitChunk
-// events; the queued-event backlog is tracked separately (Pipeline.qlen)
-// so overload detection still sees events, not messages.
-type inMsg struct {
-	one   queued
-	batch []queued
-}
-
-// submitChunk bounds how many events one input message may carry.
-const submitChunk = 256
-
 // Stats is a snapshot of pipeline counters.
 type Stats struct {
 	Submitted uint64
+	// Processed counts routed events less those still queued at the
+	// shards. An event queued at several shards is subtracted once per
+	// shard, so with Shards > 1 the count may lag processing; it never
+	// runs ahead of it, and it reaches Submitted once the pipeline has
+	// drained.
 	Processed uint64
-	// QueueLen is the queued backlog in events: the input queue when
-	// serial, or the shards' staged memberships normalized by the
-	// windowing overlap factor when sharded (see ShardStats.QueueLen).
+	// QueueLen is the queued backlog in events: the shards' staged
+	// memberships (see ShardStats.QueueLen) divided by the windowing
+	// overlap factor, memberships per routed event.
 	QueueLen int
 	// InputRate and Throughput are the detector's current estimates in
-	// events per second. When sharded, Throughput is the summed per-shard
-	// estimate.
+	// events per second; Throughput is the summed per-shard estimate.
 	InputRate  float64
 	Throughput float64
-	// Operator aggregates operator counters; when sharded it is the
-	// roll-up over all shards.
+	// Operator is the roll-up of the operator counters over all shards.
 	Operator operator.Stats
-	// Shards holds one entry per shard when Shards > 1, nil otherwise.
+	// Shards holds one entry per shard, one shard included.
 	Shards []ShardStats
 	// Lifecycle is the online model lifecycle snapshot, nil when the
 	// lifecycle is disabled.
@@ -172,8 +159,9 @@ type ShardStats struct {
 	WindowsClosed    uint64
 	ComplexEvents    uint64
 	WindowsWithMatch uint64
-	// QueueLen is the shard's current queue backlog in staged
-	// memberships (each (event, window) incidence counts one).
+	// QueueLen is the shard's current queue backlog in memberships
+	// (each (event, window) incidence counts one), counted when the
+	// partitioner flushes a batch to the shard.
 	QueueLen int
 	// PoolMisses counts window opens that had to allocate because the
 	// shard's window pool was empty. In steady state it plateaus at the
@@ -219,40 +207,29 @@ func (m MultiController) OnDecision(dec core.Decision) {
 // Pipeline is a running eSPICE-enabled CEP operator.
 type Pipeline struct {
 	cfg Config
-	op  *operator.Operator
-	in  chan inMsg
 	out chan operator.ComplexEvent
 
-	// part and shards drive the sharded deployment (Config.Shards > 1):
-	// submitters partition events through part straight into the shard
-	// queues. The serial path uses the operator and the in channel.
+	// Submitters partition events through part straight into the shard
+	// queues.
 	part   *partitioner
 	shards []*shard
 
 	// lifecycle supervises online model training (Config.Lifecycle).
 	lifecycle *Lifecycle
 
-	// Latency sampling state, touched only by the processing goroutine
-	// (serial) or under the partitioner mutex (sharded): events since
-	// the last sample, the current stride (doubled on every decimation),
-	// and the samples recorded since the last decimation check.
+	// Latency sampling state, touched only under the partitioner mutex:
+	// events since the last sample, the current stride (doubled on every
+	// decimation), and the samples recorded since the last decimation
+	// check.
 	latSkip    int
 	latEvery   int
 	latSamples int
 
-	submitted   atomic.Uint64
-	processed   atomic.Uint64
-	qlen        atomic.Int64 // events enqueued and not yet processed
-	busyNanos   atomic.Int64
-	memberships atomic.Uint64
-	kept        atomic.Uint64
-
-	// Event-based backpressure: producers block on flowCond while qlen
-	// is at QueueCap; the pump wakes them as the backlog drains.
-	// hasWaiters keeps the pump's fast path to one atomic load.
-	flowMu     sync.Mutex
-	flowCond   *sync.Cond
-	hasWaiters atomic.Bool
+	submitted atomic.Uint64
+	// Events and memberships routed and flushed by the partitioner; their
+	// ratio is the windowing overlap factor kbar.
+	routed        atomic.Uint64
+	routedMembers atomic.Uint64
 
 	rateEst atomic.Uint64 // float64 bits
 	thEst   atomic.Uint64 // float64 bits
@@ -264,19 +241,16 @@ type Pipeline struct {
 
 	// abort unblocks shard-side steal rendezvous (an adopt op waiting on
 	// its ring) when the pipeline dies before the matching evict is
-	// processed — context cancel or contained panic. Sharded only.
+	// processed — context cancel or contained panic.
 	abort     chan struct{}
 	abortOnce sync.Once
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// latency holds the samples of events that joined no window (the
+	// shards time the rest).
 	latency   metrics.LatencyTrace
-	lastTS    event.Time
 	inClosed  bool
 	runCalled bool
-	// opStats mirrors the serial operator's counters so Stats() stays
-	// data-race free when called mid-run (the operator itself is owned by
-	// the processing goroutine); updated under mu after every event.
-	opStats operator.Stats
 }
 
 // New validates the configuration and builds a pipeline.
@@ -317,12 +291,7 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.OutBuffer == 0 {
 		cfg.OutBuffer = 1024
 	}
-	// The lifecycle is assembled before the operator so the serial
-	// window-close hook chain can include its feedback tap.
-	var (
-		lc        *Lifecycle
-		shardTaps []*operator.FeedbackTap
-	)
+	var lc *Lifecycle
 	if cfg.Lifecycle != nil {
 		var shedders []*core.Shedder
 		addShedder := func(d operator.Decider) {
@@ -346,172 +315,83 @@ func New(cfg Config) (*Pipeline, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Shards > 1 {
-			// One tap per shard: statistics accumulate on the shard
-			// goroutines without contention and merge at (re)train time.
-			for i := 0; i < cfg.Shards; i++ {
-				tap, err := lc.newTap()
-				if err != nil {
-					return nil, err
-				}
-				shardTaps = append(shardTaps, tap)
-			}
-		} else {
-			tap, err := lc.newTap()
-			if err != nil {
-				return nil, err
-			}
-			if user := cfg.Operator.OnWindowClose; user != nil {
-				cfg.Operator.OnWindowClose = func(w *window.Window, matched []window.Entry) {
-					tap.OnWindowClose(w, matched)
-					user(w, matched)
-				}
-			} else {
-				cfg.Operator.OnWindowClose = tap.OnWindowClose
-			}
-		}
 	}
-	op, err := operator.New(cfg.Operator)
-	if err != nil {
+	// The shards run the operator's parts directly; building one
+	// validates the window spec and the patterns.
+	if _, err := operator.New(cfg.Operator); err != nil {
 		return nil, err
 	}
 	p := &Pipeline{
 		cfg:       cfg,
-		op:        op,
 		lifecycle: lc,
 		latEvery:  cfg.LatencySampleEvery,
-		in:        make(chan inMsg, cfg.QueueCap),
 		out:       make(chan operator.ComplexEvent, cfg.OutBuffer),
+		abort:     make(chan struct{}),
 	}
-	p.flowCond = sync.NewCond(&p.flowMu)
-	if cfg.Shards > 1 {
-		p.abort = make(chan struct{})
-		maxMatches := cfg.Operator.MaxMatchesPerWindow
-		if maxMatches <= 0 {
-			maxMatches = 1
+	maxMatches := cfg.Operator.MaxMatchesPerWindow
+	if maxMatches <= 0 {
+		maxMatches = 1
+	}
+	// Each shard queues at most its event share of QueueCap (reserve);
+	// every batch but a close-only one carries an event, so a queue of
+	// that many batches never binds first. The recycle ring holds the
+	// batches of a queue of full batches: a submitter running that far
+	// ahead of a shard finds every drained batch waiting for reuse, so
+	// steady state allocates no new batches.
+	share := (cfg.QueueCap + cfg.Shards - 1) / cfg.Shards
+	recycleCap := share/opsFlushBatch + 8
+	for i := 0; i < cfg.Shards; i++ {
+		dec := cfg.Operator.Shedder
+		if len(cfg.ShardDeciders) > 0 {
+			dec = cfg.ShardDeciders[i]
 		}
-		// Each shard queue holds op batches of up to opsFlushBatch
-		// memberships; sizing it as the shard's event-share divided by
-		// the batch size keeps the aggregate backlog bound near QueueCap.
-		batchCap := cfg.QueueCap / cfg.Shards / opsFlushBatch
-		if batchCap < 8 {
-			batchCap = 8
+		sh := &shard{
+			id:      i,
+			pipe:    p,
+			in:      make(chan *shardBatch, share),
+			recycle: make(chan *shardBatch, recycleCap),
+			adopt:   make(chan *window.Window, stealRingCap),
+			share:   int64(share),
+			room:    make(chan struct{}, 1),
+			decider: dec,
+			matcher: operator.NewMatcher(cfg.Operator.Patterns, maxMatches),
+			hook:    cfg.Operator.OnWindowClose,
+			delay:   cfg.ProcessingDelay,
 		}
-		for i := 0; i < cfg.Shards; i++ {
-			dec := cfg.Operator.Shedder
-			if len(cfg.ShardDeciders) > 0 {
-				dec = cfg.ShardDeciders[i]
+		if lc != nil {
+			// One tap per shard: statistics accumulate on the shard
+			// goroutines without contention and merge at (re)train time.
+			tap, err := lc.newTap()
+			if err != nil {
+				return nil, err
 			}
-			// The recycle ring matches the input queue depth: a submitter
-			// running batchCap batches ahead of a shard can still find every
-			// drained batch waiting for reuse, so steady state allocates no
-			// new batches regardless of how far ahead the producer runs.
-			sh := &shard{
-				id:      i,
-				pipe:    p,
-				in:      make(chan *shardBatch, batchCap),
-				recycle: make(chan *shardBatch, batchCap+1),
-				adopt:   make(chan *window.Window, stealRingCap),
-				decider: dec,
-				matcher: operator.NewMatcher(cfg.Operator.Patterns, maxMatches),
-				hook:    cfg.Operator.OnWindowClose,
-				delay:   cfg.ProcessingDelay,
-			}
-			if shardTaps != nil {
-				sh.tap = shardTaps[i]
-			}
-			sh.batched, _ = dec.(operator.BatchingDecider)
-			p.shards = append(p.shards, sh)
+			sh.tap = tap
 		}
-		// The partitioner owns the tracker manager; the operator above
-		// validated the full configuration and serves Shards==1 only.
-		p.part, err = newPartitioner(p, cfg.Operator.Window)
-		if err != nil {
-			return nil, fmt.Errorf("runtime: %w", err)
-		}
+		sh.batched, _ = dec.(operator.BatchingDecider)
+		p.shards = append(p.shards, sh)
+	}
+	var err error
+	p.part, err = newPartitioner(p, cfg.Operator.Window)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	return p, nil
 }
 
-// waitCapacity blocks the producer until the event backlog is below
-// QueueCap. Submit and SubmitBatch share it, so mixed producers see one
-// event-based bound; the channel's message capacity is only a secondary
-// backstop. Wake-up is condvar-driven by the pump as it drains.
-func (p *Pipeline) waitCapacity() {
-	if int(p.qlen.Load()) < p.cfg.QueueCap {
-		return
-	}
-	p.flowMu.Lock()
-	for int(p.qlen.Load()) >= p.cfg.QueueCap {
-		p.hasWaiters.Store(true)
-		p.flowCond.Wait()
-	}
-	p.flowMu.Unlock()
-}
+// Submit routes one event into the shard queues; it blocks while the
+// owning shard's queue is full. After CloseInput, or once the pipeline
+// failed, the event is dropped.
+func (p *Pipeline) Submit(e event.Event) { p.part.submitOne(e) }
 
-// releaseSlot marks one queued event processed and wakes blocked
-// producers once the backlog falls back below QueueCap. The no-waiter
-// fast path is a single atomic load.
-func (p *Pipeline) releaseSlot() {
-	if int(p.qlen.Add(-1)) < p.cfg.QueueCap && p.hasWaiters.Load() {
-		p.flowMu.Lock()
-		p.hasWaiters.Store(false)
-		p.flowCond.Broadcast()
-		p.flowMu.Unlock()
-	}
-}
-
-// Submit enqueues an event for processing; it blocks when the input
-// queue is full. Submit must not be called after CloseInput.
-func (p *Pipeline) Submit(e event.Event) {
-	if p.part != nil {
-		p.part.submitOne(e)
-		return
-	}
-	p.waitCapacity()
-	p.submitted.Add(1)
-	p.qlen.Add(1)
-	p.in <- inMsg{one: queued{ev: e, arrived: time.Now()}}
-}
-
-// SubmitBatch enqueues a batch of events in stream order, amortizing the
-// clock read and the channel rendezvous over chunks of the batch; it
-// blocks while the input queue is full. Events are copied into the
-// chunks, so the caller may reuse the slice immediately. The submitted
-// counter still advances per enqueued event so the detector's input-rate
+// SubmitBatch routes a batch of events in stream order, amortizing the
+// clock read and the shard queue sends over the batch; it blocks while
+// an owning shard's queue is full. Events are copied into the op
+// batches, so the caller may reuse the slice immediately. The submitted
+// counter advances per routed event so the detector's input-rate
 // estimate tracks actual arrivals even when a large batch blocks on a
-// full queue. SubmitBatch must not be called after CloseInput.
-func (p *Pipeline) SubmitBatch(events []event.Event) {
-	if len(events) == 0 {
-		return
-	}
-	if p.part != nil {
-		// Sharded path: partition straight into the shard queues; the
-		// batch is consumed in place, no intermediate copy.
-		p.part.submitBatch(events)
-		return
-	}
-	now := time.Now()
-	for len(events) > 0 {
-		// The channel bounds messages, so chunked submission alone would
-		// weaken the event-based backpressure by up to submitChunk x.
-		// Gate each chunk on the event backlog instead; the overshoot is
-		// at most one chunk per producer.
-		p.waitCapacity()
-		n := len(events)
-		if n > submitChunk {
-			n = submitChunk
-		}
-		chunk := make([]queued, n)
-		for i, e := range events[:n] {
-			chunk[i] = queued{ev: e, arrived: now}
-			p.submitted.Add(1)
-		}
-		p.qlen.Add(int64(n))
-		p.in <- inMsg{batch: chunk}
-		events = events[n:]
-	}
-}
+// full queue. After CloseInput, or once the pipeline failed, the batch
+// is dropped.
+func (p *Pipeline) SubmitBatch(events []event.Event) { p.part.submitBatch(events) }
 
 // CloseInput signals end of stream; Run drains the queue and returns.
 func (p *Pipeline) CloseInput() {
@@ -522,13 +402,9 @@ func (p *Pipeline) CloseInput() {
 	}
 	p.inClosed = true
 	p.mu.Unlock()
-	if p.part != nil {
-		// The partitioner takes p.mu while routing (latency samples), so
-		// seal it outside the pipeline mutex to keep lock order one-way.
-		p.part.close()
-		return
-	}
-	close(p.in)
+	// The partitioner takes p.mu while routing (latency samples), so
+	// seal it outside the pipeline mutex to keep lock order one-way.
+	p.part.close()
 }
 
 // Out delivers detected complex events. The channel closes when Run
@@ -537,30 +413,26 @@ func (p *Pipeline) Out() <-chan operator.ComplexEvent { return p.out }
 
 // Stats returns a snapshot of the pipeline counters.
 func (p *Pipeline) Stats() Stats {
+	// Load the routed count first: every event it covers was already
+	// counted into some shard's queuedEvents, so routed minus the queued
+	// events never runs ahead of processing.
+	routed := p.routed.Load()
 	st := Stats{
 		Submitted:  p.submitted.Load(),
-		Processed:  p.processed.Load(),
-		QueueLen:   int(p.qlen.Load()),
 		InputRate:  loadFloat(&p.rateEst),
 		Throughput: loadFloat(&p.thEst),
+		Shards:     make([]ShardStats, len(p.shards)),
 	}
 	if p.lifecycle != nil {
 		ls := p.lifecycle.Stats()
 		st.Lifecycle = &ls
 	}
-	if len(p.shards) == 0 {
-		p.mu.Lock()
-		st.Operator = p.opStats
-		p.mu.Unlock()
-		return st
-	}
-	st.Operator.EventsProcessed = st.Processed
-	st.Shards = make([]ShardStats, len(p.shards))
-	queuedMembers := 0
+	var queued, queuedEvents int64
 	for i, s := range p.shards {
+		queuedEvents += s.queuedEvents.Load()
 		ss := s.snapshot()
 		st.Shards[i] = ss
-		queuedMembers += ss.QueueLen
+		queued += int64(ss.QueueLen)
 		st.Operator.Memberships += ss.Memberships
 		st.Operator.MembershipsKept += ss.Kept
 		st.Operator.MembershipsShed += ss.Shed
@@ -568,20 +440,36 @@ func (p *Pipeline) Stats() Stats {
 		st.Operator.ComplexEvents += ss.ComplexEvents
 		st.Operator.WindowsWithMatch += ss.WindowsWithMatch
 	}
-	// Report the backlog in events, the unit the serial pipeline and the
-	// engine's shedding budget use: the shard queues count memberships,
-	// which overstate it by the windowing overlap factor.
-	st.QueueLen = queuedMembers
-	if st.Processed > 0 {
-		if kbar := float64(st.Operator.Memberships) / float64(st.Processed); kbar > 1 {
-			st.QueueLen = int(float64(queuedMembers)/kbar + 0.5)
-		}
+	if queuedEvents < int64(routed) {
+		st.Processed = routed - uint64(queuedEvents)
 	}
+	st.Operator.EventsProcessed = st.Processed
+	st.QueueLen = backlogEvents(queued, overlap(p.routedMembers.Load(), routed))
 	return st
 }
 
+// overlap is the windowing overlap factor kbar, memberships per event
+// (0 before the first event).
+func overlap(memberships, events uint64) float64 {
+	if events == 0 {
+		return 0
+	}
+	return float64(memberships) / float64(events)
+}
+
+// backlogEvents converts a membership-denominated shard backlog into
+// events, the unit the detector and the engine budget reason in: the
+// staged queues count every (event, window) incidence, which overstates
+// the backlog by the overlap factor kbar.
+func backlogEvents(queued int64, kbar float64) int {
+	if kbar > 1 {
+		return int(float64(queued)/kbar + 0.5)
+	}
+	return int(queued)
+}
+
 // Latency returns a copy of the recorded latency trace, merged across
-// all shards when sharded. Safe to call mid-run (every trace is
+// all shards. Safe to call mid-run (every trace is
 // lock-protected); the ingest server snapshots it for live statistics,
 // while experiment reports read it after Run returned.
 func (p *Pipeline) Latency() *metrics.LatencyTrace {
@@ -629,8 +517,11 @@ func (p *Pipeline) startLifecycle() func() {
 }
 
 // Run processes events until the input is closed and drained, or the
-// context is canceled. It is a blocking call; the detector runs on an
-// internal goroutine for its duration.
+// context is canceled. It is a blocking call. The data path itself lives
+// in the submitters (partitioning) and the shards (window ownership);
+// Run starts the shards, the merge stage, the detector and the
+// lifecycle, then waits for the input to be sealed or the context to
+// end.
 func (p *Pipeline) Run(ctx context.Context) error {
 	p.mu.Lock()
 	if p.runCalled {
@@ -639,127 +530,72 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	}
 	p.runCalled = true
 	p.mu.Unlock()
-	if len(p.shards) > 0 {
-		return p.runSharded(ctx)
-	}
 	defer close(p.out)
-	defer p.startLifecycle()()
 
-	detectorDone := make(chan struct{})
-	detectorStop := make(chan struct{})
+	merger := parallel.NewEpochMerger(4*len(p.shards), func(ces []operator.ComplexEvent) {
+		for _, ce := range ces {
+			select {
+			case p.out <- ce:
+			case <-ctx.Done():
+				return
+			}
+		}
+	})
+	var wg sync.WaitGroup
+	for _, s := range p.shards {
+		s.merger = merger
+		wg.Add(1)
+		go s.run(ctx, &wg)
+	}
+	stopLifecycle := p.startLifecycle()
+
+	var detectorStop, detectorDone chan struct{}
 	if p.cfg.Detector != nil || p.cfg.EstimateRates {
+		detectorStop = make(chan struct{})
+		detectorDone = make(chan struct{})
 		go p.detectorLoop(detectorStop, detectorDone)
-		defer func() {
-			close(detectorStop)
-			<-detectorDone
-		}()
 	}
 
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case msg, ok := <-p.in:
-			if !ok {
-				return p.flushGuarded(ctx)
-			}
-			if err := p.processMsg(ctx, msg); err != nil {
-				if pe, tripped := err.(*PanicError); tripped {
-					// Contained panic: keep draining so producers never
-					// block on a dead pipeline, then surface the capture.
-					p.drainIn(ctx)
-					return pe
-				}
-				return err
-			}
+	var err error
+	select {
+	case <-ctx.Done():
+		err = ctx.Err()
+		p.part.cancel()
+	case <-p.part.done:
+	}
+	// The shard channels are closed (cancel or close sealed them), so
+	// the shards drain and exit; then no producer holds the merger.
+	wg.Wait()
+	merger.Close()
+	if detectorStop != nil {
+		close(detectorStop)
+		<-detectorDone
+	}
+	stopLifecycle()
+	if err == nil {
+		// A contained panic (in a shard or in the partitioner inline in
+		// a submitter) outranks a clean drain.
+		if pe := p.panicErr.Load(); pe != nil {
+			return pe
 		}
 	}
+	return err
 }
 
-// processMsg unpacks one input message (single event or chunk).
-func (p *Pipeline) processMsg(ctx context.Context, msg inMsg) error {
-	if msg.batch == nil {
-		err := p.processOne(ctx, msg.one)
-		p.releaseSlot()
-		return err
-	}
-	for _, q := range msg.batch {
-		err := p.processOne(ctx, q)
-		p.releaseSlot()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *Pipeline) processOne(ctx context.Context, q queued) (err error) {
-	defer p.recoverProc(&err)
-	start := time.Now()
-	before := p.op.Stats()
-	complexEvents := p.op.Process(q.ev)
-	after := p.op.Stats()
-	kept := after.MembershipsKept - before.MembershipsKept
-	if d := p.cfg.ProcessingDelay; d > 0 && kept > 0 {
-		time.Sleep(time.Duration(kept) * d)
-	}
-	// One clock read serves both the busy-time and the latency sample.
-	end := time.Now()
-	p.busyNanos.Add(end.Sub(start).Nanoseconds())
-	p.processed.Add(1)
-	p.memberships.Add(after.Memberships - before.Memberships)
-	p.kept.Add(kept)
-
-	sampleLat := p.sampleLatency()
-	lat := end.Sub(q.arrived)
-	p.mu.Lock()
-	if sampleLat {
-		p.latency.Add(event.Time(start.UnixMicro()), event.Time(lat.Microseconds()))
-	}
-	p.lastTS = q.ev.TS
-	p.opStats = after
-	p.mu.Unlock()
-
-	for _, ce := range complexEvents {
-		select {
-		case p.out <- ce:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return nil
-}
-
-func (p *Pipeline) flush(ctx context.Context) {
-	p.mu.Lock()
-	last := p.lastTS
-	p.mu.Unlock()
-	ces := p.op.Flush(last)
-	p.mu.Lock()
-	p.opStats = p.op.Stats()
-	p.mu.Unlock()
-	for _, ce := range ces {
-		select {
-		case p.out <- ce:
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// detectorLoop estimates input rate and throughput over poll intervals
-// and forwards overload decisions to the controller.
+// detectorLoop estimates the input rate from the aggregate submitted
+// counter and the unshed capacity as the sum of per-shard service-rate
+// estimates, and forwards one decision per tick to the controller —
+// commanding all shedders in lockstep when the controller is a
+// MultiController.
 func (p *Pipeline) detectorLoop(stop, done chan struct{}) {
 	defer close(done)
 	ticker := time.NewTicker(p.cfg.PollInterval)
 	defer ticker.Stop()
 
-	var (
-		lastSubmitted uint64
-		lastKept      uint64
-		lastBusy      int64
-		lastTime      = time.Now()
-	)
+	lastKept := make([]uint64, len(p.shards))
+	lastBusy := make([]int64, len(p.shards))
+	var lastSubmitted uint64
+	lastTime := time.Now()
 	const alpha = 0.3 // EWMA smoothing for rate and throughput estimates
 	for {
 		select {
@@ -773,33 +609,37 @@ func (p *Pipeline) detectorLoop(stop, done chan struct{}) {
 			lastTime = now
 
 			submitted := p.submitted.Load()
-			kept := p.kept.Load()
-			busy := p.busyNanos.Load()
-
-			rate := float64(submitted-lastSubmitted) / wall
-			storeEWMA(&p.rateEst, rate, alpha)
+			storeEWMA(&p.rateEst, float64(submitted-lastSubmitted)/wall, alpha)
+			lastSubmitted = submitted
 
 			// Throughput must describe the *unshed* capacity in events/s:
 			// events per busy-second would inflate while shedding (shed
 			// memberships cost almost nothing), so measure the service
-			// rate per kept membership and divide by the cumulative
-			// memberships-per-event overlap factor.
-			memberships := p.memberships.Load()
-			processed := p.processed.Load()
-			if busyDelta := busy - lastBusy; busyDelta > 0 && kept > lastKept && processed > 0 {
-				kbar := float64(memberships) / float64(processed)
-				if kbar > 0 {
-					perKept := float64(kept-lastKept) / (float64(busyDelta) / 1e9)
-					storeEWMA(&p.thEst, perKept/kbar, alpha)
-				}
+			// rate per kept membership and divide by the global
+			// memberships-per-event overlap factor kbar of the routed
+			// stream.
+			var queued int64
+			for _, s := range p.shards {
+				queued += s.queued.Load()
 			}
-			lastSubmitted, lastKept, lastBusy = submitted, kept, busy
+			kbar := overlap(p.routedMembers.Load(), p.routed.Load())
 
-			th := loadFloat(&p.thEst)
-			if th <= 0 || p.cfg.Detector == nil {
+			total := 0.0
+			for i, s := range p.shards {
+				kept := s.kept.Load()
+				busy := s.busyNanos.Load()
+				if busyDelta := busy - lastBusy[i]; busyDelta > 0 && kept > lastKept[i] && kbar > 0 {
+					perKept := float64(kept-lastKept[i]) / (float64(busyDelta) / 1e9)
+					storeEWMA(&s.thEst, perKept/kbar, alpha)
+				}
+				lastKept[i], lastBusy[i] = kept, busy
+				total += loadFloat(&s.thEst)
+			}
+			p.thEst.Store(floatToBits(total))
+			if total <= 0 || p.cfg.Detector == nil {
 				continue
 			}
-			dec := p.cfg.Detector.Evaluate(int(p.qlen.Load()), loadFloat(&p.rateEst), th,
+			dec := p.cfg.Detector.Evaluate(backlogEvents(queued, kbar), loadFloat(&p.rateEst), total,
 				p.windowSizeEstimate())
 			p.cfg.Controller.OnDecision(dec)
 		}
@@ -813,8 +653,7 @@ const maxLatencySamples = 1 << 18
 
 // sampleLatency reports whether the current event contributes a latency
 // sample (1 in latEvery, initially Config.LatencySampleEvery). Called
-// from the processing goroutine (serial) or under the partitioner mutex
-// (sharded), never concurrently. When the recorded
+// under the partitioner mutex, never concurrently. When the recorded
 // samples reach maxLatencySamples the traces are decimated and the
 // stride doubles, keeping the memory and Summary cost of an unbounded
 // run fixed.
@@ -840,11 +679,11 @@ func (p *Pipeline) sampleLatency() bool {
 	return true
 }
 
-// windowSizeEstimate reads the operator's current expected window size.
-// The window manager itself is owned by the processing goroutine; its
-// ExpectedSize is a best-effort read used only as a shedding hint, and a
-// momentarily stale value merely shifts partition boundaries by a few
-// events. To stay strictly data-race free we cache the spec-derived size.
+// windowSizeEstimate is the window size the detector's shedding hint
+// uses. The partitioner's tracker predicts sizes under its own mutex;
+// to stay data-race free the detector reads the spec-derived size
+// instead, and a stale value merely shifts partition boundaries by a
+// few events.
 func (p *Pipeline) windowSizeEstimate() int {
 	spec := p.cfg.Operator.Window
 	switch {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,53 +126,56 @@ func TestRunTwiceFails(t *testing.T) {
 	<-done
 }
 
+// TestPipelineShedsUnderOverload submits one event per Submit call much
+// faster than the pipeline serves them. An artificial per-membership
+// delay of 200µs caps throughput at a few thousand ev/s, so the trigger
+// F·LB·throughput sits near a hundred events at LB = 50ms and at hundreds
+// to thousands at LB = 1s: QueueCap counts events however the producer
+// batches them, so the backlog must reach either trigger and shed.
 func TestPipelineShedsUnderOverload(t *testing.T) {
-	harness.VerifyNoLeaks(t)
-	// Artificial per-membership delay of 200µs caps throughput at
-	// ~5000 ev/s; submitting much faster builds the queue and must
-	// trigger shedding with a tight latency bound.
-	model := trainedTestModel(t)
-	shedder, err := core.NewShedder(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := core.NewOverloadDetector(core.DetectorConfig{
-		LatencyBound: 50 * event.Millisecond,
-		F:            0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Config{
-		Operator:        opConfig(shedder),
-		Detector:        det,
-		Controller:      shedController{shedder},
-		PollInterval:    2 * time.Millisecond,
-		ProcessingDelay: 200 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- p.Run(context.Background()) }()
-	go func() {
-		for range p.Out() {
-		}
-	}()
-	// Submit 3000 events as fast as possible (≫ 5k ev/s).
-	for i := 0; i < 3000; i++ {
-		p.Submit(event.Event{Seq: uint64(i), Type: event.Type(i % 2)})
-	}
-	p.CloseInput()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.Operator.MembershipsShed == 0 {
-		t.Error("overloaded pipeline must shed")
-	}
-	if st.Throughput <= 0 || st.InputRate <= 0 {
-		t.Errorf("estimates not populated: %+v", st)
+	for _, lb := range []event.Time{50 * event.Millisecond, event.Second} {
+		t.Run(fmt.Sprintf("lb=%v", time.Duration(lb)*time.Microsecond), func(t *testing.T) {
+			harness.VerifyNoLeaks(t)
+			model := trainedTestModel(t)
+			shedder, err := core.NewShedder(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			det, err := core.NewOverloadDetector(core.DetectorConfig{LatencyBound: lb, F: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := New(Config{
+				Operator:        opConfig(shedder),
+				Detector:        det,
+				Controller:      shedController{shedder},
+				PollInterval:    2 * time.Millisecond,
+				ProcessingDelay: 200 * time.Microsecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- p.Run(context.Background()) }()
+			go func() {
+				for range p.Out() {
+				}
+			}()
+			for i := 0; i < 3000; i++ {
+				p.Submit(event.Event{Seq: uint64(i), Type: event.Type(i % 2)})
+			}
+			p.CloseInput()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			st := p.Stats()
+			if st.Operator.MembershipsShed == 0 {
+				t.Errorf("overloaded pipeline must shed (throughput %.0f ev/s)", st.Throughput)
+			}
+			if st.Throughput <= 0 || st.InputRate <= 0 {
+				t.Errorf("estimates not populated: %+v", st)
+			}
+		})
 	}
 }
 
@@ -207,9 +211,9 @@ func trainedTestModel(t *testing.T) *core.Model {
 }
 
 // TestEstimateRatesWithoutDetector checks that EstimateRates keeps the
-// rate/throughput estimators alive with no detector attached, on both
-// the serial and the sharded path — the multi-query engine's global
-// budget reads these estimates from outside the pipeline.
+// rate/throughput estimators alive with no detector attached, for one
+// shard and for two — the multi-query engine's global budget reads these
+// estimates from outside the pipeline.
 func TestEstimateRatesWithoutDetector(t *testing.T) {
 	harness.VerifyNoLeaks(t)
 	for _, shards := range []int{1, 2} {
@@ -250,9 +254,10 @@ func TestEstimateRatesWithoutDetector(t *testing.T) {
 }
 
 // TestBackpressureEventBound pins the event-based QueueCap bound: mixed
-// Submit/SubmitBatch producers against a slow pump may overshoot by at
-// most one chunk each, every producer eventually unblocks (condvar
-// wake-on-drain, no missed wakeups), and nothing is lost.
+// Submit/SubmitBatch producers against a slow shard never queue more
+// than QueueCap events, or one batch when that batch alone exceeds it;
+// every producer eventually unblocks (no missed wakeups), and nothing
+// is lost.
 func TestBackpressureEventBound(t *testing.T) {
 	harness.VerifyNoLeaks(t)
 	const (
@@ -260,10 +265,13 @@ func TestBackpressureEventBound(t *testing.T) {
 		producers = 4
 		perProd   = 600
 	)
-	p, err := New(Config{
-		Operator: opConfig(nil),
-		QueueCap: queueCap,
-	})
+	cfg := Config{Operator: opConfig(nil), QueueCap: queueCap}
+	// Every tenth event closes a window; a slow close hook makes the
+	// shard the bottleneck so the backlog builds up to the bound.
+	cfg.Operator.OnWindowClose = func(*window.Window, []window.Entry) {
+		time.Sleep(20 * time.Microsecond)
+	}
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +284,15 @@ func TestBackpressureEventBound(t *testing.T) {
 
 	var maxSeen atomic.Int64
 	stopWatch := make(chan struct{})
+	watched := make(chan struct{})
 	go func() {
+		defer close(watched)
 		for {
 			select {
 			case <-stopWatch:
 				return
 			default:
-				if q := p.qlen.Load(); q > maxSeen.Load() {
+				if q := p.shards[0].queuedEvents.Load(); q > maxSeen.Load() {
 					maxSeen.Store(q)
 				}
 			}
@@ -309,6 +319,7 @@ func TestBackpressureEventBound(t *testing.T) {
 	}
 	wg.Wait()
 	close(stopWatch)
+	<-watched
 	p.CloseInput()
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -317,9 +328,14 @@ func TestBackpressureEventBound(t *testing.T) {
 	if st.Processed != producers*perProd {
 		t.Fatalf("processed %d events, want %d", st.Processed, producers*perProd)
 	}
-	// Each producer may overshoot by at most one chunk past the bound.
-	limit := int64(queueCap + producers*submitChunk)
-	if got := maxSeen.Load(); got > limit {
+	// An empty queue admits a whole SubmitBatch flush of up to
+	// opsFlushBatch ops; otherwise the queue stays within QueueCap.
+	limit := int64(max(queueCap, opsFlushBatch))
+	got := maxSeen.Load()
+	if got > limit {
 		t.Errorf("backlog peaked at %d events, want <= %d", got, limit)
+	}
+	if got < queueCap {
+		t.Errorf("backlog peaked at %d events; the slow shard never fell behind", got)
 	}
 }

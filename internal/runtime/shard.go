@@ -13,12 +13,12 @@ import (
 	"repro/internal/window"
 )
 
-// shard is one parallel operator instance. It owns every window the
-// partitioner assigned to it — open, membership add, shed decision,
-// close, matching and pool recycling all happen on the shard goroutine,
-// against shard-local state — and it replays the partitioner's compiled
-// op stream in FIFO order, which is what makes slot recycling and the
-// per-window open→member→close ordering safe without locks.
+// shard is one operator instance. It owns every window the partitioner
+// assigned to it — open, membership add, shed decision, close, matching
+// and pool recycling all happen on the shard goroutine, against
+// shard-local state — and it replays the partitioner's compiled op
+// stream in FIFO order, which is what makes slot recycling and the
+// per-window open→event→close ordering safe without locks.
 type shard struct {
 	id      int
 	pipe    *Pipeline        // back-pointer for panic containment (guard.go)
@@ -32,14 +32,13 @@ type shard struct {
 	decider operator.Decider
 	batched operator.BatchingDecider // non-nil when decider batches counters
 	matcher *operator.Matcher        // per-shard match scratch
-	// merger re-serializes this shard's closed-window results into
-	// global window-close order; set by runSharded before the shard
-	// goroutine starts.
+	// merger re-serializes the shards' closed-window results into global
+	// window-close order. Set by Run before the shard goroutine starts.
 	merger *parallel.EpochMerger[[]operator.ComplexEvent]
 	// hook is the user OnWindowClose hook. It runs on the shard
 	// goroutine, so with Shards > 1 it must be safe for concurrent calls
 	// (one per shard); the matched entries alias the shard's match
-	// scratch exactly as on the serial path.
+	// scratch, as operator.Operator's do.
 	hook operator.WindowCloseHook
 	// tap feeds the shard's window closes to the online model lifecycle
 	// (nil when disabled); per-shard statistics accumulate without
@@ -48,9 +47,10 @@ type shard struct {
 	delay time.Duration
 
 	// wins maps partitioner-assigned slots to the shard's live windows;
-	// pool recycles them shard-locally, so no closed window is ever lost
-	// to a full cross-goroutine release channel again.
+	// open lists the same windows in open/adopt order, and every event op
+	// joins each of them; pool recycles them shard-locally.
 	wins []*window.Window
+	open []*window.Window
 	pool window.Pool
 
 	// latBuf collects the batch's latency samples; they fold into the
@@ -66,6 +66,14 @@ type shard struct {
 	windowsWithMatch atomic.Uint64
 	busyNanos        atomic.Int64
 	thEst            atomic.Uint64 // float64 bits
+
+	// queuedEvents counts the events of the flushed but unprocessed
+	// batches; reserve holds the submitter while it is at share (the
+	// shard's part of QueueCap), and room wakes a waiting submitter.
+	queuedEvents atomic.Int64
+	share        int64
+	waiting      atomic.Bool
+	room         chan struct{}
 
 	// Skew-aware scale-out state: occupancy is the partitioner's
 	// placement estimate (summed expected sizes of owned open windows,
@@ -84,8 +92,8 @@ type shard struct {
 type latSample struct{ ts, lat event.Time }
 
 // snapshot reads the shard counters. QueueLen reports the staged
-// memberships (not batches), matching the serial pipeline's event-based
-// backlog accounting up to the windowing overlap factor.
+// memberships (not batches); Stats divides their sum by the windowing
+// overlap factor to report the backlog in events.
 func (s *shard) snapshot() ShardStats {
 	return ShardStats{
 		Memberships:      s.memberships.Load(),
@@ -104,15 +112,75 @@ func (s *shard) snapshot() ShardStats {
 	}
 }
 
+// reserve counts n more queued events, first holding the submitter back
+// while they would take the queue past the shard's share of QueueCap.
+// An empty queue admits any batch, so one larger than the share still
+// passes. Only the partitioner calls it, under its mutex, so there is at
+// most one waiter; release wakes it through room. The shard keeps
+// draining its queue after a cancel or a contained panic, so the wait
+// always ends.
+func (s *shard) reserve(n int64) {
+	if !s.fits(n) {
+		// Announce the wait before re-checking: a release that the check
+		// misses then sees waiting and leaves a token in room.
+		s.waiting.Store(true)
+		for !s.fits(n) {
+			<-s.room
+		}
+		s.waiting.Store(false)
+	}
+	s.queuedEvents.Add(n)
+}
+
+func (s *shard) fits(n int64) bool {
+	q := s.queuedEvents.Load()
+	return q == 0 || q+n <= s.share
+}
+
+// release retires batch b's backlog — its memberships and its events —
+// and wakes a submitter waiting for room. It zeroes the batch's counts,
+// so the panic guard's call after a normal release is a no-op.
+func (s *shard) release(b *shardBatch) {
+	s.queued.Add(-int64(b.members))
+	s.queuedEvents.Add(-int64(len(b.events)))
+	b.members, b.events = 0, b.events[:0]
+	if s.waiting.Load() {
+		select {
+		case s.room <- struct{}{}:
+		default:
+		}
+	}
+}
+
 // tallyFlushBatch caps how many shedding decisions a shard accumulates
 // locally before folding them into the shedder's shared atomic counters.
 const tallyFlushBatch = 1024
 
-// ensureSlot grows the window slot array to cover slot.
-func (s *shard) ensureSlot(slot int) {
-	for len(s.wins) <= slot {
+// setSlot installs w (nil after an aborted adopt) in slot, growing the
+// slot array to cover it, and lists a live window as open.
+func (s *shard) setSlot(slot int32, w *window.Window) {
+	for len(s.wins) <= int(slot) {
 		s.wins = append(s.wins, nil)
 	}
+	s.wins[slot] = w
+	if w != nil {
+		s.open = append(s.open, w)
+	}
+}
+
+// clearSlot empties slot and drops its window from the open list,
+// keeping the list's order; it returns the window (nil after an aborted
+// adopt).
+func (s *shard) clearSlot(slot int32) *window.Window {
+	w := s.wins[slot]
+	s.wins[slot] = nil
+	for i, o := range s.open {
+		if o == w {
+			s.open = append(s.open[:i], s.open[i+1:]...)
+			break
+		}
+	}
+	return w
 }
 
 // run drains the shard's batch queue until the partitioner closes it.
@@ -156,7 +224,7 @@ func (s *shard) drainBatch(b *shardBatch) {
 		case opEvict:
 			var w *window.Window
 			if int(op.slot) < len(s.wins) {
-				w, s.wins[op.slot] = s.wins[op.slot], nil
+				w = s.clearSlot(op.slot)
 			}
 			s.pipe.shards[op.a].adopt <- w
 		case opAdopt:
@@ -167,16 +235,14 @@ func (s *shard) drainBatch(b *shardBatch) {
 			}
 		}
 	}
-	s.queued.Add(-int64(b.members))
+	s.release(b)
 }
 
 // abortSteals unblocks every steal-ring rendezvous whose counterpart op
 // will never be processed (dropped with a canceled batch or unwound by
-// a panic). Idempotent; a no-op for serial pipelines.
+// a panic). Idempotent.
 func (p *Pipeline) abortSteals() {
-	if p.abort != nil {
-		p.abortOnce.Do(func() { close(p.abort) })
-	}
+	p.abortOnce.Do(func() { close(p.abort) })
 }
 
 // processBatch replays one op batch against the shard's windows, under
@@ -191,25 +257,28 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 	haveOut := false
 	for _, op := range b.ops {
 		switch op.kind & opKindMask {
-		case opMember:
-			w := s.wins[op.slot]
-			if w == nil {
-				continue // adopt aborted mid-teardown; pipeline is dying
-			}
-			w.Arrivals++
-			members++
+		case opEvent:
 			ev := b.events[op.evIdx]
-			dropped := operator.ShedDecision(s.decider, s.batched, ev.Type, int(op.pos),
-				w.ExpectedSize, decisions, drops)
-			if dropped {
-				w.Dropped++
-				shed++
-			} else {
-				w.Add(ev, int(op.pos))
-				kept++
-				if s.delay > 0 {
-					time.Sleep(s.delay)
+			var k uint64
+			for _, w := range s.open {
+				pos := w.Arrivals
+				w.Arrivals++
+				if operator.ShedDecision(s.decider, s.batched, ev.Type, pos, w.ExpectedSize,
+					decisions, drops) {
+					w.Dropped++
+					shed++
+				} else {
+					w.Add(ev, pos)
+					k++
 				}
+			}
+			members += uint64(len(s.open))
+			kept += k
+			// One sleep per event op for all its kept memberships: a
+			// sleep per membership would pay the timer's overshoot once
+			// per window and slow a delayed shard far past the delay.
+			if s.delay > 0 && k > 0 {
+				time.Sleep(time.Duration(k) * s.delay)
 			}
 			if op.kind&opSampleFlag != 0 {
 				now := time.Now()
@@ -225,11 +294,9 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 			w.OpenSeq = ev.Seq
 			w.OpenTS = ev.TS
 			w.ExpectedSize = int(op.b)
-			s.ensureSlot(int(op.slot))
-			s.wins[op.slot] = w
+			s.setSlot(op.slot, w)
 		case opClose:
-			w := s.wins[op.slot]
-			s.wins[op.slot] = nil
+			w := s.clearSlot(op.slot)
 			if w == nil {
 				continue // adopt aborted mid-teardown; merger emits the prefix
 			}
@@ -244,11 +311,9 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 		case opEvict:
 			// Ownership handoff, donor side: push the window — buffered
 			// entries, counters and its pool entry — to the thief's steal
-			// ring and forget it. Future ops for this window (memberships,
+			// ring and forget it. Future ops for this window (events,
 			// close) were staged to the thief after its adopt op.
-			w := s.wins[op.slot]
-			s.wins[op.slot] = nil
-			s.pipe.shards[op.a].adopt <- w
+			s.pipe.shards[op.a].adopt <- s.clearSlot(op.slot)
 		case opAdopt:
 			// Ownership handoff, thief side: receive the stolen window into
 			// a fresh local slot. Blocks until the donor processes its evict
@@ -264,8 +329,7 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 				}
 			case <-s.pipe.abort:
 			}
-			s.ensureSlot(int(op.slot))
-			s.wins[op.slot] = w
+			s.setSlot(op.slot, w)
 		}
 	}
 	s.memberships.Add(members)
@@ -275,11 +339,9 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 	if shed > 0 {
 		s.shed.Add(shed)
 	}
-	// Zero the membership count the moment it is accounted, so the
-	// panic guard (which decrements by b.members) stays exactly-once no
-	// matter where in the batch a panic lands.
-	s.queued.Add(-int64(b.members))
-	b.members = 0
+	// Release zeroes the batch's counts, so the panic guard (which
+	// releases too) stays exactly-once no matter where a panic lands.
+	s.release(b)
 	s.busyNanos.Add(time.Since(start).Nanoseconds())
 	if len(s.latBuf) > 0 {
 		s.mu.Lock()
@@ -294,7 +356,7 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 	if len(out) > 0 {
 		s.merger.Publish(out)
 	}
-	b.ops, b.events = b.ops[:0], b.events[:0]
+	b.ops = b.ops[:0]
 	select {
 	case s.recycle <- b:
 	default:
@@ -322,140 +384,4 @@ func (s *shard) closeOwned(w *window.Window, now event.Time) []operator.ComplexE
 	s.complexEvents.Add(uint64(len(ces)))
 	s.pool.Put(w)
 	return ces
-}
-
-// runSharded is the Shards > 1 body of Run. The data path itself lives
-// in the submitters (partitioning) and the shards (window ownership);
-// Run only assembles the merge stage, the detector and the lifecycle,
-// then waits for the input to be sealed or the context to end.
-func (p *Pipeline) runSharded(ctx context.Context) error {
-	defer close(p.out)
-
-	merger := parallel.NewEpochMerger(4*len(p.shards), func(ces []operator.ComplexEvent) {
-		for _, ce := range ces {
-			select {
-			case p.out <- ce:
-			case <-ctx.Done():
-				return
-			}
-		}
-	})
-	var wg sync.WaitGroup
-	for _, s := range p.shards {
-		s.merger = merger
-		wg.Add(1)
-		go s.run(ctx, &wg)
-	}
-	stopLifecycle := p.startLifecycle()
-
-	var detectorStop, detectorDone chan struct{}
-	if p.cfg.Detector != nil || p.cfg.EstimateRates {
-		detectorStop = make(chan struct{})
-		detectorDone = make(chan struct{})
-		go p.shardedDetectorLoop(detectorStop, detectorDone)
-	}
-
-	var err error
-	select {
-	case <-ctx.Done():
-		err = ctx.Err()
-		p.part.cancel()
-	case <-p.part.done:
-	}
-	// The shard channels are closed (cancel or close sealed them), so
-	// the shards drain and exit; then no producer holds the merger.
-	wg.Wait()
-	merger.Close()
-	if detectorStop != nil {
-		close(detectorStop)
-		<-detectorDone
-	}
-	stopLifecycle()
-	if err == nil {
-		// A contained panic (in a shard or in the partitioner inline in
-		// a submitter) outranks a clean drain.
-		if pe := p.panicErr.Load(); pe != nil {
-			return pe
-		}
-	}
-	return err
-}
-
-// shardedDetectorLoop is the Shards > 1 counterpart of detectorLoop: the
-// input rate is estimated from the aggregate submitted counter, the
-// unshed capacity as the sum of per-shard service-rate estimates, and
-// one decision per tick is forwarded to the controller — commanding all
-// shedders in lockstep when the controller is a MultiController.
-func (p *Pipeline) shardedDetectorLoop(stop, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(p.cfg.PollInterval)
-	defer ticker.Stop()
-
-	lastKept := make([]uint64, len(p.shards))
-	lastBusy := make([]int64, len(p.shards))
-	var lastSubmitted uint64
-	lastTime := time.Now()
-	const alpha = 0.3 // EWMA smoothing, as in the serial detector loop
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-ticker.C:
-			wall := now.Sub(lastTime).Seconds()
-			if wall <= 0 {
-				continue
-			}
-			lastTime = now
-
-			submitted := p.submitted.Load()
-			storeEWMA(&p.rateEst, float64(submitted-lastSubmitted)/wall, alpha)
-			lastSubmitted = submitted
-
-			// kbar is the global memberships-per-event overlap factor;
-			// see detectorLoop for why throughput is measured per kept
-			// membership and scaled by it.
-			var memberships uint64
-			for _, s := range p.shards {
-				memberships += s.memberships.Load()
-			}
-			kbar := 0.0
-			if processed := p.processed.Load(); processed > 0 {
-				kbar = float64(memberships) / float64(processed)
-			}
-
-			total := 0.0
-			for i, s := range p.shards {
-				kept := s.kept.Load()
-				busy := s.busyNanos.Load()
-				if busyDelta := busy - lastBusy[i]; busyDelta > 0 && kept > lastKept[i] && kbar > 0 {
-					perKept := float64(kept-lastKept[i]) / (float64(busyDelta) / 1e9)
-					storeEWMA(&s.thEst, perKept/kbar, alpha)
-				}
-				lastKept[i], lastBusy[i] = kept, busy
-				total += loadFloat(&s.thEst)
-			}
-			p.thEst.Store(floatToBits(total))
-			if total <= 0 || p.cfg.Detector == nil {
-				continue
-			}
-			dec := p.cfg.Detector.Evaluate(p.backlogEvents(kbar), loadFloat(&p.rateEst), total,
-				p.windowSizeEstimate())
-			p.cfg.Controller.OnDecision(dec)
-		}
-	}
-}
-
-// backlogEvents converts the shards' membership-denominated backlog into
-// events, the unit detectorLoop and the engine budget reason in: the
-// staged queue counts every (event, window) incidence, which overstates
-// the backlog by the windowing overlap factor kbar.
-func (p *Pipeline) backlogEvents(kbar float64) int {
-	var queued int64
-	for _, s := range p.shards {
-		queued += s.queued.Load()
-	}
-	if kbar > 1 {
-		return int(float64(queued)/kbar + 0.5)
-	}
-	return int(queued)
 }

@@ -62,23 +62,23 @@ func overlappingOpConfig() operator.Config {
 	return cfg
 }
 
-// TestShardedMatchesSerial asserts (a) that a 4-shard pipeline produces
-// exactly the serial pipeline's complex events, in the same order, on a
-// deterministic stream, and (b) that the merged output arrives in
-// window-close order. Run with -race to exercise the router/shard/merge
-// handoffs.
+// TestShardedMatchesSerial asserts (a) that pipelines of 1, 2 and 4
+// shards produce exactly the complex events of a plain operator.Operator
+// replay, in the same order, on a deterministic stream, and (b) that the
+// merged output arrives in window-close order. Run with -race to
+// exercise the partitioner/shard/merge handoffs.
 func TestShardedMatchesSerial(t *testing.T) {
 	harness.VerifyNoLeaks(t)
 	events := deterministicStream(2000)
-	serial, _ := runCollect(t, Config{Operator: overlappingOpConfig()}, events)
-	if len(serial) == 0 {
-		t.Fatal("serial run detected nothing; bad test setup")
+	ref := replayOperator(t, overlappingOpConfig(), events)
+	if len(ref) == 0 {
+		t.Fatal("operator replay detected nothing; bad test setup")
 	}
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{1, 2, 4} {
 		sharded, st := runCollect(t, Config{Operator: overlappingOpConfig(), Shards: shards}, events)
-		if !reflect.DeepEqual(serial, sharded) {
-			t.Fatalf("shards=%d: output differs from serial (%d vs %d complex events)",
-				shards, len(sharded), len(serial))
+		if !reflect.DeepEqual(ref, sharded) {
+			t.Fatalf("shards=%d: output differs from the operator replay (%d vs %d complex events)",
+				shards, len(sharded), len(ref))
 		}
 		// Count windows of one fixed size close in open order, so
 		// window-close order means non-decreasing window IDs.
@@ -105,7 +105,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 }
 
 // TestShardedLatencySamples asserts every event contributes exactly one
-// latency sample in sharded mode, as in the serial path.
+// latency sample across three shards.
 func TestShardedLatencySamples(t *testing.T) {
 	harness.VerifyNoLeaks(t)
 	events := deterministicStream(500)

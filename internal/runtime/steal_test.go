@@ -83,20 +83,20 @@ func stealTestConfig(shards, threshold int, delay time.Duration) Config {
 // pool without counting as a miss, so per shard PoolPuts + PoolMisses
 // >= PoolGets always, and at quiescence (every window closed and
 // recycled) the global sums satisfy PoolGets == PoolPuts exactly. The
-// output must stay byte-identical to the serial pipeline's. Run with
+// output must stay byte-identical to a plain operator replay. Run with
 // -race to exercise the evict/adopt rendezvous.
 func TestStealPoolConservation(t *testing.T) {
 	harness.VerifyNoLeaks(t)
 	events := tumblingSkewStream(24, 20, 800, 6)
-	serial, _ := runCollect(t, stealTestConfig(0, 0, 0), events)
-	want := streamSignature(serial)
+	ref := replayOperator(t, stealTestConfig(0, 0, 0).Operator, events)
+	want := streamSignature(ref)
 	if want == "" {
 		t.Fatal("workload detects nothing; bad test setup")
 	}
 	sharded, st := runCollect(t, stealTestConfig(4, 4, 30*time.Microsecond), events)
 	if got := streamSignature(sharded); got != want {
 		t.Fatalf("stealing changed the output (%d vs %d complex events)",
-			len(sharded), len(serial))
+			len(sharded), len(ref))
 	}
 	var gets, puts, misses, steals uint64
 	for i, ss := range st.Shards {
@@ -125,7 +125,7 @@ func TestStealPoolConservation(t *testing.T) {
 // TestHotWindowNoStarvation feeds one window ~90%% of the stream and
 // asserts no shard starves: work stealing hands the hot window across
 // shards, every shard processes memberships, and the output still
-// matches the serial pipeline byte for byte.
+// matches a plain operator replay byte for byte.
 func TestHotWindowNoStarvation(t *testing.T) {
 	harness.VerifyNoLeaks(t)
 	// 16 cold windows of 15 events around one hot window of 3000:
@@ -145,15 +145,15 @@ func TestHotWindowNoStarvation(t *testing.T) {
 	}
 	events = append(events, tail...)
 
-	serial, _ := runCollect(t, stealTestConfig(0, 0, 0), events)
-	want := streamSignature(serial)
+	ref := replayOperator(t, stealTestConfig(0, 0, 0).Operator, events)
+	want := streamSignature(ref)
 	if want == "" {
 		t.Fatal("workload detects nothing; bad test setup")
 	}
 	sharded, st := runCollect(t, stealTestConfig(4, 4, 30*time.Microsecond), events)
 	if got := streamSignature(sharded); got != want {
 		t.Fatalf("stealing changed the output (%d vs %d complex events)",
-			len(sharded), len(serial))
+			len(sharded), len(ref))
 	}
 	var steals uint64
 	for i, ss := range st.Shards {
@@ -173,11 +173,11 @@ func TestHotWindowNoStarvation(t *testing.T) {
 func TestStealDisabled(t *testing.T) {
 	harness.VerifyNoLeaks(t)
 	events := tumblingSkewStream(12, 20, 600, 6)
-	serial, _ := runCollect(t, stealTestConfig(0, 0, 0), events)
+	ref := replayOperator(t, stealTestConfig(0, 0, 0).Operator, events)
 	sharded, st := runCollect(t, stealTestConfig(4, -1, 30*time.Microsecond), events)
-	if want, got := streamSignature(serial), streamSignature(sharded); got != want {
+	if want, got := streamSignature(ref), streamSignature(sharded); got != want {
 		t.Fatalf("disabling stealing changed the output (%d vs %d complex events)",
-			len(sharded), len(serial))
+			len(sharded), len(ref))
 	}
 	for i, ss := range st.Shards {
 		if ss.Steals != 0 {

@@ -253,7 +253,7 @@ func TestWireEquivalenceEngine(t *testing.T) {
 	}
 }
 
-// TestWireEquivalenceNDJSON drives the serial pipeline through the
+// TestWireEquivalenceNDJSON drives a single-shard pipeline through the
 // NDJSON framing: the line codec is as faithful as the binary one.
 func TestWireEquivalenceNDJSON(t *testing.T) {
 	harness.VerifyNoLeaks(t)
